@@ -93,6 +93,7 @@ int main(int argc, char** argv) {
             cfg.hardening.attribute_withholders = true;
             break;
           case core::AttackClass::kReplay:  // tags ARE the defence
+          case core::AttackClass::kTamper:  // baseline witnesses catch it
           case core::AttackClass::kNone:
             break;
         }

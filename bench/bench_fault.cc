@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     core::FaultPlan faults;
     faults.crash_probability = ctx.point.get("crash_rate");
     const auto out = core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0),
-                                           keys, {}, faults);
+                                           keys, faults);
     auto& m = ctx.metrics;
     if (!out.accepted()) m.add("rejected");
     m.observe("crashed", out.nodes_crashed);

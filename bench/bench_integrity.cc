@@ -27,11 +27,13 @@ int main() {
       net::Network network(bench::paper_network(
           400, bench::run_seed(bench::Experiment::kIntegrityDetection, row, static_cast<std::uint64_t>(t))));
       core::IcpdaConfig cfg;
-      core::AttackPlan attack;
-      attack.polluters.insert(50 + static_cast<net::NodeId>(t * 13 % 300));
-      attack.delta = delta;
-      const auto out =
-          core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys, attack);
+      core::AdversaryPlan attack;
+      attack.attack = core::AttackClass::kTamper;
+      attack.compromised.insert(50 + static_cast<net::NodeId>(t * 13 % 300));
+      attack.pollution_delta = delta;
+      core::AdversaryState adv;
+      const auto out = core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0),
+                                             keys, attack, adv);
       if (out.pollution_events > 0) {
         ++polluted;
         if (!out.accepted()) ++detected;

@@ -30,11 +30,13 @@ int main() {
                                            epoch_counter++)));
         core::IcpdaConfig cfg;
         cfg.allowed_mask = mask;
-        core::AttackPlan attack;
-        attack.polluters.insert(polluter);
-        attack.delta = 400.0;
-        const auto out =
-            core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys, attack);
+        core::AdversaryPlan attack;
+        attack.attack = core::AttackClass::kTamper;
+        attack.compromised.insert(polluter);
+        attack.pollution_delta = 400.0;
+        core::AdversaryState adv;
+        const auto out = core::run_icpda_epoch(
+            network, cfg, proto::constant_reading(1.0), keys, attack, adv);
         return out.accepted();
       };
       const auto result = core::localize_polluter(n, oracle, 80);

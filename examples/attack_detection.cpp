@@ -16,9 +16,10 @@ int main() {
   constexpr net::NodeId kCompromised = 217;
   const crypto::MasterPairwiseScheme keys{crypto::Key::from_seed(0xBADBEEF)};
 
-  core::AttackPlan attack;
-  attack.polluters.insert(kCompromised);
-  attack.delta = 300.0;  // inflate the reported total
+  core::AdversaryPlan attack;
+  attack.attack = core::AttackClass::kTamper;
+  attack.compromised.insert(kCompromised);
+  attack.pollution_delta = 300.0;  // inflate the reported total
 
   std::printf("== epoch with a compromised aggregator (node %u) ==\n", kCompromised);
   std::uint64_t seed = 9001;
@@ -28,8 +29,9 @@ int main() {
     cfg.seed = seed;
     net::Network network(cfg);
     core::IcpdaConfig proto_cfg;
-    const auto out =
-        core::run_icpda_epoch(network, proto_cfg, proto::constant_reading(1.0), keys, attack);
+    core::AdversaryState adv;
+    const auto out = core::run_icpda_epoch(network, proto_cfg,
+                                           proto::constant_reading(1.0), keys, attack, adv);
     std::printf("pollution events: %u\n", out.pollution_events);
     std::printf("epoch %s (%u significant alarms, %zu total)\n",
                 out.accepted() ? "ACCEPTED — attack missed!" : "REJECTED",
@@ -50,8 +52,9 @@ int main() {
     net::Network network(cfg);
     core::IcpdaConfig proto_cfg;
     proto_cfg.allowed_mask = mask;
-    const auto out =
-        core::run_icpda_epoch(network, proto_cfg, proto::constant_reading(1.0), keys, attack);
+    core::AdversaryState adv;
+    const auto out = core::run_icpda_epoch(network, proto_cfg,
+                                           proto::constant_reading(1.0), keys, attack, adv);
     std::printf("  round %llu: %s\n", static_cast<unsigned long long>(epoch_no),
                 out.accepted() ? "clean" : "rejected");
     return out.accepted();

@@ -35,7 +35,7 @@ int main() {
 
   std::printf("== epoch with 10%% random crashes (N = %zu) ==\n", kNodes);
   const auto out = core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0),
-                                         keys, {}, faults);
+                                         keys, faults);
 
   std::printf("nodes crashed:        %u (base station exempt)\n", out.nodes_crashed);
   std::printf("epoch %s (%u significant alarms)\n",

@@ -14,6 +14,8 @@ const char* attack_class_name(AttackClass c) {
       return "replay";
     case AttackClass::kWithhold:
       return "withhold";
+    case AttackClass::kTamper:
+      return "tamper";
   }
   return "?";
 }

@@ -1,6 +1,6 @@
 // Active-adversary modelling: compromised nodes running behavioural
-// attacks THROUGH the real protocol (contrast AttackPlan, which only
-// tampers with Phase III payloads, and FaultPlan, which is benign).
+// attacks THROUGH the real protocol (contrast FaultPlan, which is
+// benign).
 //
 // An AdversaryPlan marks a subset of nodes compromised and picks one
 // attack class; the compromised nodes keep executing IcpdaApp but
@@ -30,6 +30,11 @@
 //     Vandermonde solve starves: contributor lists diverge, and the
 //     unhardened Phase II recovery re-admits the starver — a
 //     repeatable cluster DoS.
+//   kTamper — the paper's naive polluter: a compromised aggregator
+//     adds pollution_delta to the Phase III reports it originates
+//     (inflating one concrete item and the total) or relays. Nothing
+//     is forged upstream of the report, so cluster witnesses and the
+//     parent watchdog catch it with the baseline protocol.
 //
 // The protocol-side countermeasures live in core::HardeningConfig
 // (config.h) and are all off by default: the benign path is
@@ -55,6 +60,7 @@ enum class AttackClass : std::uint8_t {
   kPollution,   ///< colluding-CH biased digest entry
   kReplay,      ///< cross-epoch replay of captured Phase II/III frames
   kWithhold,    ///< share withholding (Vandermonde-solve DoS)
+  kTamper,      ///< Phase III report tamper (originated or relayed)
 };
 
 [[nodiscard]] const char* attack_class_name(AttackClass c);
@@ -70,14 +76,16 @@ struct AdversaryPlan {
   /// Per-node Bernoulli compromise probability (benchmark sweeps).
   double compromise_fraction = 0.0;
 
-  /// Disclosure/pollution nodes grab the aggregator role instead of
-  /// drawing pc (a compromised node is not bound by honest coin
-  /// flips); withholders avoid it (they starve clusters as members).
+  /// Disclosure, pollution and tamper nodes grab the aggregator role
+  /// instead of drawing pc (a compromised node is not bound by honest
+  /// coin flips); withholders avoid it (they starve clusters as
+  /// members).
   bool force_head = true;
   /// Disclosure heads truncate their roster to the coalition plus at
   /// most one honest victim — the full-rank configuration.
   bool engineer_roster = true;
-  /// Bias added to each polluting head's cluster sum.
+  /// Bias added to each polluting head's cluster sum (kPollution) or
+  /// to each report a tamperer originates or relays (kTamper).
   double pollution_delta = 25.0;
   /// Captured frames a replaying node re-injects per epoch.
   std::size_t replay_budget = 12;

@@ -1,8 +1,8 @@
-// Configuration knobs of the iCPDA protocol and its attack plans.
+// Configuration knobs of the iCPDA protocol (attack plans live in
+// core/adversary.h).
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "net/topology.h"
 #include "net/wire.h"
@@ -207,24 +207,6 @@ struct IcpdaConfig {
     std::uint32_t min_honest_anonymity = 0;
   };
   HardeningConfig hardening;
-};
-
-/// Data-pollution attack plan: `polluters` tamper with the aggregate
-/// they forward in Phase III by adding `delta` to the sum component
-/// (and proportionally to count if `pollute_count`).
-struct AttackPlan {
-  std::unordered_set<net::NodeId> polluters;
-  double delta = 0.0;
-  bool pollute_count = false;
-  /// Attackers maximise their aggregation role: a polluter always
-  /// self-elects as cluster head instead of drawing pc (a compromised
-  /// node is not bound by the honest protocol's coin flips).
-  bool force_head = true;
-
-  [[nodiscard]] bool is_polluter(net::NodeId id) const {
-    return polluters.contains(id);
-  }
-  [[nodiscard]] bool active() const { return !polluters.empty() && delta != 0.0; }
 };
 
 }  // namespace icpda::core

@@ -1,6 +1,6 @@
 // Fault injection: scheduled node crashes and transient outages.
 //
-// A FaultPlan is the benign-failure sibling of AttackPlan: it describes
+// A FaultPlan is the benign-failure sibling of AdversaryPlan: it describes
 // which nodes die (or blink) during an epoch and when, without any
 // malice. The distinction matters for the paper's integrity argument —
 // the base station must reject tampered epochs while tolerating crashed

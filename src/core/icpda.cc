@@ -167,15 +167,15 @@ void IcpdaApp::handle_hello(net::Node& node, const net::Frame& frame) {
   // node ignores the coin and grabs the aggregator role. In adaptive
   // mode the decision is deferred to decide_role so the density
   // estimate (hello_sources_) can accumulate during join_delay.
-  const bool grabs_role = attack_ && attack_->active() &&
-                          attack_->force_head && attack_->is_polluter(node.id());
-  // Disclosure and pollution adversaries maximise the aggregator role;
-  // withholders avoid it (they starve clusters from the member side).
+  // Disclosure, pollution and tamper adversaries maximise the
+  // aggregator role; withholders avoid it (they starve clusters from
+  // the member side).
   const bool adv_grabs = compromised(node) && adversary_->force_head &&
                          (adversary_->attack == AttackClass::kDisclosure ||
-                          adversary_->attack == AttackClass::kPollution);
+                          adversary_->attack == AttackClass::kPollution ||
+                          adversary_->attack == AttackClass::kTamper);
   const bool adv_avoids = attacking(AttackClass::kWithhold, node);
-  if (grabs_role || adv_grabs ||
+  if (adv_grabs ||
       (!adv_avoids && !config_.adaptive_pc && rng(node).bernoulli(config_.pc))) {
     become_head(node);
   } else {
@@ -1087,10 +1087,9 @@ void IcpdaApp::forward_verbatim(net::Node& node, const net::Frame& frame) {
   if (!report) return;
 
   net::Bytes payload = frame.payload;
-  if (attack_ && attack_->is_polluter(node.id())) {
+  if (attacking(AttackClass::kTamper, node)) {
     // A compromised relay tampers with the values it is asked to carry.
-    report->aggregate.sum += attack_->delta;
-    if (attack_->pollute_count) report->aggregate.count += attack_->delta;
+    report->aggregate.sum += adversary_->pollution_delta;
     payload = report->to_bytes();
     node.metrics().add("icpda.pollution_injected");
     if (outcome_) ++outcome_->pollution_events;
@@ -1149,19 +1148,14 @@ void IcpdaApp::send_report(net::Node& node) {
     report.items.push_back(proto::ReportItem{node.id(), *cluster_value_});
   }
 
-  const bool polluting = attack_ && attack_->is_polluter(node.id());
-  if (polluting && !report.items.empty()) {
+  if (attacking(AttackClass::kTamper, node) && !report.items.empty()) {
     // The attacker must corrupt a concrete item (the itemized format
     // makes total-only smearing trivially detectable); the naive
     // attacker modelled here inflates its own cluster item if it has
     // one, else the first child item, and keeps the total consistent.
     auto& victim = report.items.back();
-    victim.value.sum += attack_->delta;
-    report.aggregate.sum += attack_->delta;
-    if (attack_->pollute_count) {
-      victim.value.count += attack_->delta;
-      report.aggregate.count += attack_->delta;
-    }
+    victim.value.sum += adversary_->pollution_delta;
+    report.aggregate.sum += adversary_->pollution_delta;
     node.metrics().add("icpda.pollution_injected");
     if (outcome_) ++outcome_->pollution_events;
   }
@@ -1663,11 +1657,8 @@ void merge_outcome_part(IcpdaOutcome& into, IcpdaOutcome& part) {
   into.rosters_refused += part.rosters_refused;
 }
 
-/// Shared epoch tail: bounded horizon, trace finalization, coverage.
-/// `outcome` is the SAME object the attached apps point at — by
-/// reference, so everything the BS writes during net.run() lands here.
-/// Sharded runs instead hand each app its shard's entry in `parts`
-/// (concurrent drains must not share a tally sink); the parts fold into
+/// Epoch tail: bounded horizon, trace finalization, coverage. Each app
+/// writes into its shard's entry of `parts`; the parts fold into
 /// `outcome` here, in shard order, before coverage is computed.
 void run_epoch_tail(net::Network& net, const IcpdaConfig& config,
                     IcpdaOutcome& outcome, std::vector<IcpdaOutcome>& parts) {
@@ -1703,40 +1694,10 @@ void run_epoch_tail(net::Network& net, const IcpdaConfig& config,
 
 IcpdaOutcome run_icpda_epoch(net::Network& net, const IcpdaConfig& config,
                              const proto::ReadingProvider& readings,
-                             const crypto::KeyScheme& keys, const AttackPlan& attack,
-                             const FaultPlan& faults) {
-  IcpdaOutcome outcome;
-  // Sharded run: apps on concurrent shards cannot share one tally sink,
-  // so each shard accumulates into its own part (folded by the tail).
-  std::vector<IcpdaOutcome> parts(net.shard_count() > 1 ? net.shard_count() : 0);
-  if (parts.empty()) {
-    net.attach_apps([&](net::Node&) {
-      return std::make_unique<IcpdaApp>(config, readings, &keys, &attack, &outcome);
-    });
-  } else {
-    const sim::ShardPlan& plan = net.shard_plan();
-    net.attach_apps([&](net::Node& n) {
-      return std::make_unique<IcpdaApp>(config, readings, &keys, &attack,
-                                        &parts[plan.shard_of[n.id()]]);
-    });
-  }
-  outcome.nodes_crashed = schedule_fault_plan(net, faults, net.rng().fork("faults"));
-  run_epoch_tail(net, config, outcome, parts);
-  return outcome;
-}
-
-IcpdaOutcome run_icpda_epoch(net::Network& net, const IcpdaConfig& config,
-                             const proto::ReadingProvider& readings,
                              const crypto::KeyScheme& keys,
                              const AdversaryPlan& adversary, AdversaryState& adv,
                              const FaultPlan& faults) {
   IcpdaOutcome outcome;
-  // An adversary run shares AdversaryState across every compromised
-  // node: arbitrary cross-shard state, so the engine must serialize.
-  // Identical results (the gate replays the canonical order), and the
-  // apps can then safely share the one outcome sink as well.
-  std::vector<IcpdaOutcome> parts;
-  if (net.shard_count() > 1) net.set_serialize_all(true);
   // Faults first: the crash set must be materialized before the
   // compromised set resolves, so crashed-and-compromised deterministically
   // resolves to crashed (a dead node mounts no attack).
@@ -1746,13 +1707,33 @@ IcpdaOutcome run_icpda_epoch(net::Network& net, const IcpdaConfig& config,
   ++adv.epoch;
   outcome.compromised_nodes =
       resolve_compromised(net, adversary, crashed, net.rng().fork("adversary"), adv);
-  static const AttackPlan kNoLegacyAttack;
-  net.attach_apps([&](net::Node&) {
-    return std::make_unique<IcpdaApp>(config, readings, &keys, &kNoLegacyAttack,
-                                      &outcome, &adversary, &adv);
+  // An active adversary shares AdversaryState across every compromised
+  // node: arbitrary cross-shard state, so the engine must serialize
+  // (identical results — the gate replays the canonical order). Benign
+  // apps get no adversary pointers at all.
+  const bool active = adversary.active();
+  if (active && net.shard_count() > 1) net.set_serialize_all(true);
+  const AdversaryPlan* plan = active ? &adversary : nullptr;
+  AdversaryState* state = active ? &adv : nullptr;
+  // Each shard's apps accumulate into their own outcome part (concurrent
+  // drains must not share a tally sink); the tail folds them in shard
+  // order. Unsharded runs use a single part.
+  std::vector<IcpdaOutcome> parts(net.shard_count());
+  const sim::ShardPlan& shards = net.shard_plan();
+  net.attach_apps([&](net::Node& n) {
+    IcpdaOutcome* part = &parts[parts.size() > 1 ? shards.shard_of[n.id()] : 0];
+    return std::make_unique<IcpdaApp>(config, readings, &keys, part, plan, state);
   });
   run_epoch_tail(net, config, outcome, parts);
   return outcome;
+}
+
+IcpdaOutcome run_icpda_epoch(net::Network& net, const IcpdaConfig& config,
+                             const proto::ReadingProvider& readings,
+                             const crypto::KeyScheme& keys, const FaultPlan& faults) {
+  const AdversaryPlan benign;
+  AdversaryState unused;
+  return run_icpda_epoch(net, config, readings, keys, benign, unused, faults);
 }
 
 }  // namespace icpda::core

@@ -106,13 +106,12 @@ struct IcpdaOutcome {
 class IcpdaApp final : public net::App {
  public:
   IcpdaApp(IcpdaConfig config, proto::ReadingProvider readings,
-           const crypto::KeyScheme* keys, const AttackPlan* attack,
-           IcpdaOutcome* outcome, const AdversaryPlan* adversary = nullptr,
-           AdversaryState* adv = nullptr, sim::Rng* rng_override = nullptr)
+           const crypto::KeyScheme* keys, IcpdaOutcome* outcome,
+           const AdversaryPlan* adversary = nullptr, AdversaryState* adv = nullptr,
+           sim::Rng* rng_override = nullptr)
       : config_(config),
         readings_(std::move(readings)),
         keys_(keys),
-        attack_(attack),
         outcome_(outcome),
         adversary_(adversary),
         adv_(adv),
@@ -196,7 +195,9 @@ class IcpdaApp final : public net::App {
            adv_->is_compromised(node.id());
   }
   [[nodiscard]] bool attacking(AttackClass c, const net::Node& node) const {
-    return compromised(node) && adversary_->attack == c;
+    // Class first: maybe_capture asks on every reception, and the set
+    // lookup is the expensive half.
+    return adversary_ != nullptr && adversary_->attack == c && compromised(node);
   }
   /// True iff the freshness gate drops this frame (stale epoch tag).
   bool replay_gate(net::Node& node, const net::Frame& frame);
@@ -228,7 +229,6 @@ class IcpdaApp final : public net::App {
   IcpdaConfig config_;
   proto::ReadingProvider readings_;
   const crypto::KeyScheme* keys_;
-  const AttackPlan* attack_;
   IcpdaOutcome* outcome_;
   const AdversaryPlan* adversary_ = nullptr;
   AdversaryState* adv_ = nullptr;
@@ -312,24 +312,25 @@ class IcpdaApp final : public net::App {
   bool probe_failed_ = false;
 };
 
-/// Run one iCPDA epoch on `net`; `attack` and `faults` may be empty
-/// (honest, fully-live run).
-IcpdaOutcome run_icpda_epoch(net::Network& net, const IcpdaConfig& config,
-                             const proto::ReadingProvider& readings,
-                             const crypto::KeyScheme& keys,
-                             const AttackPlan& attack = {},
-                             const FaultPlan& faults = {});
-
-/// Active-adversary epoch: faults are scheduled FIRST and the
+/// Run one iCPDA epoch on `net`. Faults are scheduled FIRST and the
 /// compromised set is resolved against the materialized crash set
-/// (crashed-and-compromised resolves to crashed), then apps attach with
-/// the adversary layer. `adv` persists across epochs of one scenario —
-/// its epoch counter is bumped here — so replay captures and the
-/// disclosure coalition's ledger accumulate.
+/// (crashed-and-compromised resolves to crashed), then apps attach —
+/// with the adversary layer only when `adversary` is active, so benign
+/// epochs keep the null-pointer hot path and the engine's parallel
+/// drains. `adv` persists across epochs of one scenario — its epoch
+/// counter is bumped here — so replay captures and the disclosure
+/// coalition's ledger accumulate.
 IcpdaOutcome run_icpda_epoch(net::Network& net, const IcpdaConfig& config,
                              const proto::ReadingProvider& readings,
                              const crypto::KeyScheme& keys,
                              const AdversaryPlan& adversary, AdversaryState& adv,
+                             const FaultPlan& faults = {});
+
+/// Benign epoch (no compromised node); `faults` may be empty
+/// (fully-live run).
+IcpdaOutcome run_icpda_epoch(net::Network& net, const IcpdaConfig& config,
+                             const proto::ReadingProvider& readings,
+                             const crypto::KeyScheme& keys,
                              const FaultPlan& faults = {});
 
 }  // namespace icpda::core

@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/channel.h"
@@ -40,31 +38,17 @@ struct MacConfig {
 
 class Mac {
  public:
-  /// Upper-layer hooks. `on_deliver` fires for intact frames addressed
-  /// to this node or broadcast; `on_overhear` for intact frames
-  /// addressed elsewhere; `on_send_failed` when unicast retries are
-  /// exhausted (or the queue overflows).
-  struct Callbacks {
-    std::function<void(const Frame&)> on_deliver;
-    std::function<void(const Frame&)> on_overhear;
-    std::function<void(const Frame&)> on_send_failed;
-  };
-
   Mac(NodeId self, Channel& channel, sim::Scheduler& sched, sim::Rng rng,
       sim::MetricRegistry& metrics, MacConfig config);
 
   Mac(const Mac&) = delete;
   Mac& operator=(const Mac&) = delete;
 
-  void set_callbacks(Callbacks cbs) {
-    cbs_ = std::make_unique<Callbacks>(std::move(cbs));
-  }
-
-  /// Production fast path (Network::wire): route deliveries,
-  /// overhears and send failures straight into the owning Node's
-  /// dispatch_* methods instead of through the std::function hooks —
-  /// two of the three fire once per intact reception. A non-null sink
-  /// takes precedence over `cbs_`; test rigs keep using Callbacks.
+  /// Upper layer (Network::wire): intact frames addressed to this node
+  /// or broadcast go to the Node's dispatch_receive, intact frames
+  /// addressed elsewhere to dispatch_overhear, and frames the MAC gives
+  /// up on (retries exhausted, queue overflow, purge) to
+  /// dispatch_send_failed.
   void set_sink(Node* node) { sink_ = node; }
 
   /// Attach a tracer: backoff draws record kBackoffSlots and every
@@ -82,9 +66,6 @@ class Mac {
   /// Enqueue a frame for transmission. The MAC stamps the sequence
   /// number and source address.
   void send(Frame frame);
-
-  /// Frames currently queued (diagnostics).
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
   /// Fault injection: the node's radio died. Flushes every queued
   /// frame (without on_send_failed — the application is dead too),
@@ -112,7 +93,7 @@ class Mac {
   void handle_reception(const Frame& frame, ReceptionStatus status);
 
   /// Heap bytes held by this MAC beyond sizeof(Mac): queued frames and
-  /// their payloads, the per-sender dedup table, test callbacks.
+  /// their payloads, the per-sender dedup table.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
@@ -125,10 +106,6 @@ class Mac {
   sim::MetricRegistry& metrics_;
   MacConfig config_;
   sim::Tracer* tracer_ = nullptr;
-  /// Test-rig hooks only (production wiring uses sink_); boxed so the
-  /// common case pays one null pointer instead of three std::functions
-  /// (~96 bytes per node).
-  std::unique_ptr<Callbacks> cbs_;
   Node* sink_ = nullptr;
   bool border_ = false;
 

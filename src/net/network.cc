@@ -211,18 +211,6 @@ sim::SimTime Network::run(sim::SimTime horizon) {
   // Fold per-shard registries into the main one, in shard order —
   // deterministic, and Cell handles survive for the next run.
   for (auto& m : shard_metrics_) m->drain_into(metrics_);
-
-  if (tracer_.enabled() && tracer_.config().shard_counters) {
-    const ShardEngine::Stats& st = engine_->stats();
-    tracer_.counter(sim::kTraceGlobalNode, sim::TraceCounter::kShardRounds,
-                    st.rounds, end);
-    tracer_.counter(sim::kTraceGlobalNode, sim::TraceCounter::kShardGateRounds,
-                    st.gate_rounds, end);
-    tracer_.counter(sim::kTraceGlobalNode, sim::TraceCounter::kShardGateEvents,
-                    st.gate_events, end);
-    tracer_.counter(sim::kTraceGlobalNode, sim::TraceCounter::kShardParallelEvents,
-                    st.parallel_events, end);
-  }
   return end;
 }
 

@@ -12,11 +12,12 @@ sim::EventId Node::schedule(sim::SimTime delay, sim::EventFn fn) {
   // gone), and a node that was down when the timer was set may be back
   // up when it fires. Timers run on the node's home-shard scheduler,
   // owner-tagged, and are never border events: application handlers
-  // only touch the node's own state and send through its own MAC.
+  // only touch the node's own state and send through its own MAC. A
+  // timer that outlives its App (replaced by attach_app) is dropped.
   return network_.scheduler_for(id_).after(
       delay,
-      [this, fn = std::move(fn)]() mutable {
-        if (alive_) fn();
+      [this, gen = app_gen_, fn = std::move(fn)]() mutable {
+        if (alive_ && gen == app_gen_) fn();
       },
       id_);
 }

@@ -67,7 +67,8 @@ class Node {
   /// Liveness (fault injection). A dead node's radio is off and its
   /// application is frozen: sends are discarded, receptions and
   /// overhears are not dispatched, and timers scheduled through the
-  /// node fire only if the node is alive at fire time. Toggled by
+  /// node fire only if the node is alive at fire time (and its App has
+  /// not been replaced since, see attach_app). Toggled by
   /// Network::set_node_down / set_node_up, never directly.
   [[nodiscard]] bool alive() const { return alive_; }
   void set_alive(bool alive) { alive_ = alive; }
@@ -88,7 +89,15 @@ class Node {
   [[nodiscard]] sim::Tracer& tracer();
   [[nodiscard]] const Point& position() const;
 
-  void attach_app(std::unique_ptr<App> app) { app_ = std::move(app); }
+  /// Replace the App. Timers the old App scheduled through schedule()
+  /// and that are still pending become no-ops: they captured the
+  /// previous app generation and would otherwise call into a destroyed
+  /// App (epochs run back to back on one Network leave stragglers past
+  /// the bounded horizon).
+  void attach_app(std::unique_ptr<App> app) {
+    app_ = std::move(app);
+    ++app_gen_;
+  }
   [[nodiscard]] App* app() { return app_.get(); }
 
   // Network-internal dispatch.
@@ -107,6 +116,7 @@ class Node {
   Network& network_;
   sim::Rng rng_;
   bool alive_ = true;
+  std::uint32_t app_gen_ = 0;  ///< bumped by attach_app
   std::unique_ptr<App> app_;
 };
 

@@ -99,10 +99,12 @@ class WireReader {
   Bytes blob() {
     const std::uint32_t n = u32();
     need(n);
-    Bytes out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    // Addressed from the end: GCC 12 at -O3 does not relate begin() +
+    // pos_ to the bound need() checked and reports a false
+    // -Wstringop-overread when the length prefix is oversized.
+    const auto first = buf_.end() - static_cast<std::ptrdiff_t>(remaining());
     pos_ += n;
-    return out;
+    return Bytes(first, first + n);
   }
 
   std::vector<double> f64_vec() {

@@ -49,7 +49,10 @@ JsonRow& JsonRow::num(std::string_view key, std::uint64_t value) {
 }
 
 JsonRow& JsonRow::str(std::string_view key, std::string_view value) {
-  return raw(key, "\"" + json_escape(value) + "\"");
+  std::string quoted(1, '"');
+  quoted += json_escape(value);
+  quoted += '"';
+  return raw(key, std::move(quoted));
 }
 
 JsonRow& JsonRow::boolean(std::string_view key, bool value) {
@@ -60,7 +63,10 @@ std::string JsonRow::to_line() const {
   std::string line = "{";
   for (std::size_t i = 0; i < fields_.size(); ++i) {
     if (i) line += ", ";
-    line += "\"" + json_escape(fields_[i].first) + "\": " + fields_[i].second;
+    line += '"';
+    line += json_escape(fields_[i].first);
+    line += "\": ";
+    line += fields_[i].second;
   }
   line += "}";
   return line;

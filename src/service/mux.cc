@@ -37,8 +37,8 @@ core::IcpdaApp& QueryMux::instance(net::Node& node, ActiveQuery& query) {
     inst.rng = std::make_unique<sim::Rng>(
         query_rng_seed(state_->seed, node.id(), qid));
     inst.app = std::make_unique<core::IcpdaApp>(
-        query.config, state_->readings, state_->keys, &state_->no_attack,
-        &query.outcome, /*adversary=*/nullptr, /*adv=*/nullptr, inst.rng.get());
+        query.config, state_->readings, state_->keys, &query.outcome,
+        /*adversary=*/nullptr, /*adv=*/nullptr, inst.rng.get());
     it = instances_.emplace(qid, std::move(inst)).first;
     node.metrics().add("service.instance_created");
   }

@@ -46,8 +46,6 @@ struct ServiceState {
   const crypto::KeyScheme* keys = nullptr;
   /// Seed salt for per-(node, query) protocol randomness.
   std::uint64_t seed = 1;
-  /// Benign service runs mount no attack; one shared empty plan.
-  core::AttackPlan no_attack;
 
   [[nodiscard]] ActiveQuery* find(std::uint32_t query_id) {
     const auto it = queries.find(query_id);

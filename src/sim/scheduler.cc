@@ -57,7 +57,6 @@ constexpr std::size_t kLineagePoolCap = 1 << 14;
 
 std::atomic<std::uint64_t> g_lineage_live{0};
 std::atomic<std::uint64_t> g_lineage_peak{0};
-std::atomic<std::uint32_t> g_lineage_max_depth{0};
 
 void note_peak(std::uint64_t live) {
   std::uint64_t cur = g_lineage_peak.load(std::memory_order_relaxed);
@@ -87,7 +86,7 @@ void note_peak(std::uint64_t live) {
   if (ctx.parent == nullptr) {
     n->parent = nullptr;
     n->depth = 0;
-    n->flags = Lineage::kRoot;
+    n->flags = 0;
   } else if (ctx.parent->depth + 1 >= kMaxLineageDepth) {
     // Restart the chain: depth resets to 0 so descendants keep
     // accumulating the most recent <= kMaxLineageDepth generations of
@@ -102,10 +101,6 @@ void note_peak(std::uint64_t live) {
     n->parent = ctx.parent;  // transfer: no refcount traffic
     n->depth = static_cast<std::uint16_t>(ctx.parent->depth + 1);
     n->flags = 0;
-    std::uint32_t cur = g_lineage_max_depth.load(std::memory_order_relaxed);
-    while (n->depth > cur && !g_lineage_max_depth.compare_exchange_weak(
-                                 cur, n->depth, std::memory_order_relaxed)) {
-    }
   }
   ctx.parent = nullptr;  // ownership moved into (or released by) the node
   return n;
@@ -127,63 +122,39 @@ void lineage_release(Lineage* n) {
 }
 
 namespace {
-std::atomic<std::uint32_t> g_cmp_max_walk{0};
 std::atomic<std::uint64_t> g_cmp_undecided{0};
-
-void note_walk(std::uint32_t walked) {
-  std::uint32_t cur = g_cmp_max_walk.load(std::memory_order_relaxed);
-  while (walked > cur && !g_cmp_max_walk.compare_exchange_weak(
-                             cur, walked, std::memory_order_relaxed)) {
-  }
-}
 }  // namespace
 
 LineageCmpStats lineage_cmp_stats() {
-  return LineageCmpStats{g_cmp_max_walk.load(std::memory_order_relaxed),
-                         g_cmp_undecided.load(std::memory_order_relaxed),
+  return LineageCmpStats{g_cmp_undecided.load(std::memory_order_relaxed),
                          g_lineage_live.load(std::memory_order_relaxed),
-                         g_lineage_peak.load(std::memory_order_relaxed),
-                         g_lineage_max_depth.load(std::memory_order_relaxed)};
+                         g_lineage_peak.load(std::memory_order_relaxed)};
 }
 
 void reset_lineage_cmp_stats() {
-  g_cmp_max_walk.store(0, std::memory_order_relaxed);
   g_cmp_undecided.store(0, std::memory_order_relaxed);
   g_lineage_peak.store(g_lineage_live.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
-  g_lineage_max_depth.store(0, std::memory_order_relaxed);
 }
 
 int lineage_cmp(const Lineage* a, std::uint32_t ia, const Lineage* b,
                 std::uint32_t ib) {
-  std::uint32_t walked = 0;
   for (;;) {
     if (a == b) {
       // Same parent dispatch (or both install-scheduled): the child
       // index / install sequence is the FIFO order. Equal only for
       // one and the same event.
-      note_walk(walked);
       if (ia != ib) return ia < ib ? -1 : 1;
       return 0;
     }
     // Install-scheduled sorts after runtime-scheduled at a full tie
     // (the legacy +infinity-ancestor rule; see DESIGN.md §5k).
-    if (a == nullptr) {
-      note_walk(walked);
-      return 1;
-    }
-    if (b == nullptr) {
-      note_walk(walked);
-      return -1;
-    }
-    if (a->sched_at != b->sched_at) {
-      note_walk(walked);
-      return a->sched_at < b->sched_at ? -1 : 1;
-    }
+    if (a == nullptr) return 1;
+    if (b == nullptr) return -1;
+    if (a->sched_at != b->sched_at) return a->sched_at < b->sched_at ? -1 : 1;
     // Parents tied at (fire, schedule) time too: their dispatch order
     // is decided one causal level up — unless a chain was cut.
     if (a->truncated() || b->truncated()) {
-      note_walk(walked);
       g_cmp_undecided.fetch_add(1, std::memory_order_relaxed);
       return 0;
     }
@@ -191,7 +162,6 @@ int lineage_cmp(const Lineage* a, std::uint32_t ia, const Lineage* b,
     ib = b->intra;
     a = a->parent;
     b = b->parent;
-    ++walked;
   }
 }
 

@@ -67,8 +67,6 @@ inline constexpr std::uint32_t kNoEventOwner = 0xFFFFFFFFu;
 /// memory insurance). Without the cap, a long-lived self-rescheduling
 /// event line would pin its entire causal history in memory.
 struct Lineage {
-  static constexpr std::uint8_t kRoot = 1;       ///< dispatched event was
-                                                 ///< install-scheduled
   static constexpr std::uint8_t kTruncated = 2;  ///< chain cut at depth cap
   SimTime sched_at;        ///< when the dispatched event was scheduled
   Lineage* parent;         ///< dispatch that scheduled it (null: root/cut)
@@ -100,17 +98,15 @@ void lineage_release(Lineage* n);
                               const Lineage* b, std::uint32_t ib);
 
 /// Observability for the gate comparator (process-wide, relaxed
-/// atomics): the deepest chain walk any comparison needed, and how
-/// many comparisons came back undecided (chain cut at the depth cap).
+/// atomics): how many comparisons came back undecided (chain cut at
+/// the depth cap) and how many lineage nodes were alive at once.
 /// Tests assert undecided == 0 at pinned sizes so a cap that is
 /// silently too small shows up as a counter, not as a mystery
 /// divergence (it did once — see DESIGN.md §5k).
 struct LineageCmpStats {
-  std::uint32_t max_walk = 0;   ///< deepest levels walked by one compare
   std::uint64_t undecided = 0;  ///< compares that fell back to owner id
   std::uint64_t live = 0;       ///< lineage nodes currently allocated
   std::uint64_t peak = 0;       ///< high-water mark of live nodes
-  std::uint32_t max_depth = 0;  ///< deepest chain ever built
 };
 [[nodiscard]] LineageCmpStats lineage_cmp_stats();
 void reset_lineage_cmp_stats();

@@ -7,11 +7,6 @@
 
 namespace icpda::sim {
 
-namespace {
-
-/// Fill border/shard_sizes/est_load/border_count from a finished
-/// shard_of map. Shared by both partitioners so their plans are
-/// comparable field-for-field.
 void finalize_plan(ShardPlan& plan, const NeighborFn& neighbors) {
   const std::size_t n = plan.shard_of.size();
   plan.border.assign(n, 0);
@@ -31,8 +26,6 @@ void finalize_plan(ShardPlan& plan, const NeighborFn& neighbors) {
   }
 }
 
-}  // namespace
-
 double ShardPlan::balance() const {
   if (est_load.empty()) return 1.0;
   std::uint64_t total = 0;
@@ -45,25 +38,6 @@ double ShardPlan::balance() const {
   const double mean =
       static_cast<double>(total) / static_cast<double>(est_load.size());
   return static_cast<double>(peak) / mean;
-}
-
-ShardPlan make_stripe_plan(const std::vector<double>& xs, double field_width,
-                           std::uint32_t shards, const NeighborFn& neighbors) {
-  if (shards == 0) throw std::invalid_argument("make_stripe_plan: zero shards");
-  if (field_width <= 0.0) {
-    throw std::invalid_argument("make_stripe_plan: non-positive field width");
-  }
-  ShardPlan plan;
-  plan.shard_count = shards;
-  plan.shard_of.resize(xs.size());
-  const double stripe = field_width / static_cast<double>(shards);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double x = std::clamp(xs[i], 0.0, field_width);
-    auto s = static_cast<std::uint32_t>(x / stripe);
-    plan.shard_of[i] = std::min(s, shards - 1);
-  }
-  finalize_plan(plan, neighbors);
-  return plan;
 }
 
 ShardPlan make_tile_plan(const std::vector<double>& xs,

@@ -1,23 +1,17 @@
 // Spatial shard plan: the static partition behind the parallel epoch
 // engine (net/shard_engine.h).
 //
-// Two partitioners share one plan shape:
-//
-//  - make_stripe_plan: equal-width vertical stripes by x coordinate.
-//    The PR-8/9 partition; kept as the comparison baseline (its border
-//    band grows with field height and its load balance is whatever the
-//    deployment happens to give).
-//  - make_tile_plan: event-load-balanced 2-D tiling. The field is
-//    rasterised into grid buckets of roughly one radio range, each
-//    bucket weighted by its estimated event load (1 + degree per node:
-//    a node's event count is dominated by the receptions it fields,
-//    which scale with its neighbour count), and buckets are assigned
-//    to shards by recursive orthogonal bisection — split the bucket
-//    rectangle across its longer axis at the weighted median, splitting
-//    the shard budget k into floor(k/2)/ceil(k/2), and recurse. Tiles
-//    come out contiguous, load-balanced, and with short cut lines,
-//    which is what minimises the border-node count (only border nodes
-//    ever serialize through the engine's gate).
+// make_tile_plan is event-load-balanced 2-D tiling. The field is
+// rasterised into grid buckets of roughly one radio range, each bucket
+// weighted by its estimated event load (1 + degree per node: a node's
+// event count is dominated by the receptions it fields, which scale
+// with its neighbour count), and buckets are assigned to shards by
+// recursive orthogonal bisection — split the bucket rectangle across
+// its longer axis at the weighted median, splitting the shard budget k
+// into floor(k/2)/ceil(k/2), and recurse. Tiles come out contiguous,
+// load-balanced, and with short cut lines, which is what minimises the
+// border-node count (only border nodes ever serialize through the
+// engine's gate).
 //
 // A node is a *border* node iff any of its radio neighbours lives in a
 // different shard — only border nodes can interact across a shard
@@ -61,12 +55,11 @@ struct ShardPlan {
 using NeighborFn =
     std::function<void(std::uint32_t node, const std::function<void(std::uint32_t)>&)>;
 
-/// Cut `[0, field_width)` into `shards` equal vertical stripes and
-/// assign each node by its x coordinate (clamped into range). With
-/// shards == 1 every node is interior and the plan is trivial.
-[[nodiscard]] ShardPlan make_stripe_plan(const std::vector<double>& xs,
-                                         double field_width, std::uint32_t shards,
-                                         const NeighborFn& neighbors);
+/// Fill border/shard_sizes/est_load/border_count from a plan whose
+/// shard_count and shard_of are set. make_tile_plan ends with it; any
+/// other partition (tests compare against equal-width stripes) gets
+/// field-for-field comparable plans through it.
+void finalize_plan(ShardPlan& plan, const NeighborFn& neighbors);
 
 /// Event-load-balanced 2-D tiling by recursive orthogonal bisection
 /// (see file comment). `cell_hint` sets the bucket granularity —

@@ -35,10 +35,6 @@ const char* trace_counter_name(TraceCounter c) {
     case TraceCounter::kQueryLaunch: return "query_launch";
     case TraceCounter::kQueryComplete: return "query_complete";
     case TraceCounter::kQueryDrop: return "query_drop";
-    case TraceCounter::kShardRounds: return "shard_rounds";
-    case TraceCounter::kShardGateRounds: return "shard_gate_rounds";
-    case TraceCounter::kShardGateEvents: return "shard_gate_events";
-    case TraceCounter::kShardParallelEvents: return "shard_parallel_events";
     case TraceCounter::kMaxCounter: break;
   }
   return "invalid";

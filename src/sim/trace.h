@@ -73,13 +73,6 @@ enum class TraceCounter : std::uint8_t {
   kQueryLaunch,     ///< service dispatcher launched a query (value = query id)
   kQueryComplete,   ///< service query closed at the BS (value = query id)
   kQueryDrop,       ///< service admission dropped a query (value = query id)
-  // Sharded-engine barrier counters (net/shard_engine.h), recorded on
-  // the global pseudo-node once per run when Config::shard_counters is
-  // set. Values are counts, not bytes.
-  kShardRounds,         ///< lookahead windows advanced
-  kShardGateRounds,     ///< windows that needed a serialized gate
-  kShardGateEvents,     ///< events executed inside gates (serial)
-  kShardParallelEvents, ///< events executed in parallel drains
   kMaxCounter,      ///< sentinel: number of counters
 };
 
@@ -138,10 +131,6 @@ class Tracer {
     bool rx_events = true;
     /// Record MAC backoff draws (kBackoffSlots).
     bool mac_events = true;
-    /// Record the sharded engine's window/gate occupancy counters
-    /// (kShard*) on the global pseudo-node at the end of each run. Off
-    /// by default so single-shard golden traces are unaffected.
-    bool shard_counters = false;
   };
 
   Tracer() = default;

@@ -188,9 +188,10 @@ TEST(EpochArenaTest, ThreeEpochsWithRecoveryMatchFreshRunExactly) {
   // Star around head 1: members 2..4 in range of the head (node 3 out
   // of the base station's range), pinned by pc = 0 + force_head.
   const net::Topology topo{{{0, 0}, {30, 0}, {30, 30}, {60, 0}, {30, -30}}, 50.0};
-  AttackPlan pin_head;
-  pin_head.polluters.insert(1);
-  pin_head.delta = 1e-4;
+  AdversaryPlan pin_head;
+  pin_head.attack = AttackClass::kTamper;
+  pin_head.compromised.insert(1);
+  pin_head.pollution_delta = 1e-4;
   pin_head.force_head = true;
 
   struct EpochResult {
@@ -199,6 +200,7 @@ TEST(EpochArenaTest, ThreeEpochsWithRecoveryMatchFreshRunExactly) {
   };
   const auto drive = [&](net::Network& network) {
     std::vector<EpochResult> out;
+    AdversaryState adv;
     for (int epoch = 0; epoch < 3; ++epoch) {
       IcpdaConfig cfg;
       cfg.pc = 0.0;
@@ -210,7 +212,7 @@ TEST(EpochArenaTest, ThreeEpochsWithRecoveryMatchFreshRunExactly) {
       }
       EpochResult r;
       r.outcome = run_icpda_epoch(network, cfg, proto::constant_reading(1.0),
-                                  keys, pin_head, faults);
+                                  keys, pin_head, adv, faults);
       r.counters = network.metrics().counters();
       out.push_back(std::move(r));
     }

@@ -33,11 +33,14 @@ net::NetworkConfig paper_network(std::size_t n, std::uint64_t seed) {
 struct FaultRig {
   FaultRig(net::Network& network, const IcpdaConfig& cfg,
            const proto::ReadingProvider& readings, const crypto::KeyScheme& keys,
-           const FaultPlan& faults, const AttackPlan& attack = {})
+           const FaultPlan& faults, const AdversaryPlan& attack = {})
       : attack_plan(attack) {
+    // Direct attachment, NOT crashed-first resolution: pin_head rigs
+    // crash the pinned head on purpose and it must still grab the role.
+    adv.nodes = attack_plan.compromised;
     network.attach_apps([&, this](net::Node&) {
-      auto app = std::make_unique<IcpdaApp>(cfg, readings, &keys, &attack_plan,
-                                            &outcome);
+      auto app = std::make_unique<IcpdaApp>(cfg, readings, &keys, &outcome,
+                                            &attack_plan, &adv);
       apps.push_back(app.get());
       return app;
     });
@@ -46,19 +49,21 @@ struct FaultRig {
     network.run(sim::seconds(cfg.timing.start_delay_s + cfg.phase2_budget_s) +
                 cfg.timing.close_delay() + sim::seconds(3.0));
   }
-  AttackPlan attack_plan;
+  AdversaryPlan attack_plan;
+  AdversaryState adv;
   IcpdaOutcome outcome;
   std::vector<IcpdaApp*> apps;
 };
 
 /// Pin node 1 as the only self-elected head: pc = 0 keeps everyone
 /// else from electing, force_head makes node 1 elect unconditionally.
-/// The delta is negligible (force_head only applies to an active
-/// plan), far below Th and every assertion tolerance used here.
-AttackPlan pin_head(net::NodeId head) {
-  AttackPlan attack;
-  attack.polluters.insert(head);
-  attack.delta = 1e-4;
+/// The tamper delta is negligible, far below Th and every assertion
+/// tolerance used here.
+AdversaryPlan pin_head(net::NodeId head) {
+  AdversaryPlan attack;
+  attack.attack = AttackClass::kTamper;
+  attack.compromised.insert(head);
+  attack.pollution_delta = 1e-4;
   attack.force_head = true;
   return attack;
 }
@@ -196,7 +201,7 @@ TEST(FaultInjectionTest, TenPercentCrashesDegradeGracefully) {
     FaultPlan faults;
     faults.crash_probability = 0.10;
     const auto out = run_icpda_epoch(network, cfg, proto::constant_reading(1.0),
-                                     keys, {}, faults);
+                                     keys, faults);
     EXPECT_GT(out.nodes_crashed, 0u) << "seed " << seed;
     EXPECT_TRUE(out.accepted()) << "seed " << seed << ": crash-induced "
                                 << out.significant_alarms

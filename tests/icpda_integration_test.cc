@@ -65,12 +65,14 @@ TEST(IcpdaIntegrationTest, PollutingHeadIsDetected) {
     net::Network network(paper_network(400, seed));
     core::IcpdaConfig cfg;
     const auto keys = master_keys();
-    core::AttackPlan attack;
+    core::AdversaryPlan attack;
+    attack.attack = core::AttackClass::kTamper;
     // Pollute from a mid-id node; delta large enough to matter.
-    attack.polluters.insert(200);
-    attack.delta = 500.0;
-    const auto outcome =
-        core::run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys, attack);
+    attack.compromised.insert(200);
+    attack.pollution_delta = 500.0;
+    core::AdversaryState adv;
+    const auto outcome = core::run_icpda_epoch(
+        network, cfg, proto::constant_reading(1.0), keys, attack, adv);
     ++attempts;
     if (!outcome.accepted()) ++detected;
   }

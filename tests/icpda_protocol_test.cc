@@ -28,11 +28,14 @@ net::NetworkConfig paper_network(std::size_t n, std::uint64_t seed) {
 struct Rig {
   Rig(net::Network& network, const IcpdaConfig& cfg,
       const proto::ReadingProvider& readings, const crypto::KeyScheme& keys,
-      const AttackPlan& attack = {})
+      const AdversaryPlan& attack = {})
       : attack_plan(attack) {
+    // Direct attachment: the compromised set is the plan's explicit set
+    // (no crashed-first resolution in a rig that crashes nothing).
+    adv.nodes = attack_plan.compromised;
     network.attach_apps([&, this](net::Node&) {
-      auto app = std::make_unique<IcpdaApp>(cfg, readings, &keys, &attack_plan,
-                                            &outcome);
+      auto app = std::make_unique<IcpdaApp>(cfg, readings, &keys, &outcome,
+                                            &attack_plan, &adv);
       apps.push_back(app.get());
       return app;
     });
@@ -41,7 +44,8 @@ struct Rig {
     network.run(sim::seconds(cfg.timing.start_delay_s + cfg.phase2_budget_s) +
                 cfg.timing.close_delay() + sim::seconds(3.0));
   }
-  AttackPlan attack_plan;
+  AdversaryPlan attack_plan;
+  AdversaryState adv;
   IcpdaOutcome outcome;
   std::vector<IcpdaApp*> apps;
 };
@@ -191,9 +195,10 @@ TEST(IcpdaProtocolTest, PollutingRelayIsCaughtByWatchdog) {
     net::Network network(paper_network(400, seed));
     IcpdaConfig cfg;
     const auto keys = master_keys();
-    AttackPlan attack;
-    attack.polluters.insert(123);
-    attack.delta = 250.0;
+    AdversaryPlan attack;
+    attack.attack = AttackClass::kTamper;
+    attack.compromised.insert(123);
+    attack.pollution_delta = 250.0;
     attack.force_head = false;  // stay a relay if the coin says so
     Rig rig(network, cfg, proto::constant_reading(1.0), keys, attack);
     const bool tampered_in_transit =

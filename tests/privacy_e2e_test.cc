@@ -22,14 +22,13 @@ struct EpochRig {
            const crypto::KeyScheme& keys) {
     network.attach_apps([&, this](net::Node&) {
       auto app = std::make_unique<core::IcpdaApp>(
-          cfg, proto::constant_reading(1.0), &keys, &attack, &outcome);
+          cfg, proto::constant_reading(1.0), &keys, &outcome);
       apps.push_back(app.get());
       return app;
     });
     network.run(sim::seconds(cfg.timing.start_delay_s + cfg.phase2_budget_s) +
                 cfg.timing.close_delay() + sim::seconds(3.0));
   }
-  core::AttackPlan attack;
   core::IcpdaOutcome outcome;
   std::vector<core::IcpdaApp*> apps;
 };

@@ -147,8 +147,7 @@ RunResult run_scenario(std::uint32_t nodes, double field_m, std::size_t shards,
       outcome = run_icpda_epoch(net, cfg, proto::constant_reading(1.0), keys,
                                 plan, st);
     } else {
-      outcome = run_icpda_epoch(net, cfg, proto::constant_reading(1.0), keys,
-                                {}, faults);
+      outcome = run_icpda_epoch(net, cfg, proto::constant_reading(1.0), keys, faults);
       faults = {};  // permanent crashes only schedule once
     }
     out.rows += outcome_fingerprint(outcome);

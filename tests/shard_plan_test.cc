@@ -19,6 +19,7 @@
 //  * determinism — the plan is a pure function of its inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -57,6 +58,23 @@ NeighborFn neighbor_fn(const net::Topology& topo) {
                  const std::function<void(std::uint32_t)>& fn) {
     for (const net::NodeId r : topo.neighbors(node)) fn(r);
   };
+}
+
+/// The comparison baseline: cut `[0, field_width)` into `shards` equal
+/// vertical stripes and assign each node by its x coordinate (clamped
+/// into range) — the partition the tile plan replaced.
+ShardPlan make_stripe_plan(const std::vector<double>& xs, double field_width,
+                           std::uint32_t shards, const NeighborFn& neighbors) {
+  ShardPlan plan;
+  plan.shard_count = shards;
+  plan.shard_of.resize(xs.size());
+  const double stripe = field_width / static_cast<double>(shards);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double x = std::clamp(xs[i], 0.0, field_width);
+    plan.shard_of[i] = std::min(static_cast<std::uint32_t>(x / stripe), shards - 1);
+  }
+  finalize_plan(plan, neighbors);
+  return plan;
 }
 
 /// Shared structural invariants of any ShardPlan.

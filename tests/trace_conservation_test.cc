@@ -130,7 +130,7 @@ TEST(TraceConservationTest, SpansBalanceAndBytesConserveUnderCrashes) {
   FaultPlan faults;
   faults.crash_at_s = {{3, 0.5}, {7, 1.5}, {11, 2.5}, {13, 4.0},
                        {17, 6.0}, {19, 8.0}, {23, 10.0}};
-  run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys, {}, faults);
+  run_icpda_epoch(network, cfg, proto::constant_reading(1.0), keys, faults);
 
   ASSERT_EQ(network.tracer().dropped(), 0u);
   const auto events = network.tracer().merged();
@@ -152,8 +152,7 @@ TEST(TraceConservationTest, RandomCrashSweepKeepsInvariants) {
     network.enable_trace(tx_only_trace());
     FaultPlan faults;
     faults.crash_probability = 0.15;  // Bernoulli per node, random times
-    run_icpda_epoch(network, IcpdaConfig{}, proto::constant_reading(1.0), keys,
-                    {}, faults);
+    run_icpda_epoch(network, IcpdaConfig{}, proto::constant_reading(1.0), keys, faults);
 
     ASSERT_EQ(network.tracer().dropped(), 0u) << "seed " << seed;
     const auto events = network.tracer().merged();
