@@ -5,9 +5,12 @@
 // 20*sqrt(N)), runs one full iCPDA epoch, and emits a single JSON
 // object on stdout: the Network's per-subsystem heap accounting
 // (Network::footprint), process RSS/HWM from /proc/self/status, wall
-// clock, and — for sharded runs — the engine's parallel-fraction
-// counters. tools/mem_footprint.py consumes this to gate
-// bytes-per-node against the checked-in baseline.
+// clock, and — for sharded runs — the engine block: parallel-fraction
+// counters and the wall-clock ledger (serial gate and replan, summed
+// and slowest per-worker drain, and the remaining barrier wait plus
+// per-round imbalance; all zero when unsharded).
+// tools/mem_footprint.py consumes this to gate bytes-per-node against
+// the checked-in baseline.
 //
 // Usage: footprint_probe [--nodes=N] [--shards=S] [--seed=X]
 
@@ -102,11 +105,10 @@ int main(int argc, char** argv) {
   const double wall_epoch =
       std::chrono::duration<double>(t_done - t_built).count();
 
-  std::uint64_t gate_events = 0, parallel_events = 0;
-  if (const net::ShardEngine* engine = network.shard_engine()) {
-    gate_events = engine->stats().gate_events;
-    parallel_events = engine->stats().parallel_events;
-  }
+  net::ShardEngine::Stats engine;
+  if (const net::ShardEngine* e = network.shard_engine()) engine = e->stats();
+  const std::uint64_t gate_events = engine.gate_events;
+  const std::uint64_t parallel_events = engine.parallel_events;
   const std::uint64_t total_events = gate_events + parallel_events;
 
   std::printf(
@@ -120,6 +122,9 @@ int main(int argc, char** argv) {
       " \"build_s\": %.3f, \"epoch_s\": %.3f,\n"
       " \"gate_events\": %llu, \"parallel_events\": %llu,\n"
       " \"parallel_fraction\": %.4f,\n"
+      " \"rounds\": %llu, \"gate_rounds\": %llu,\n"
+      " \"engine_wall_s\": %.3f, \"gate_s\": %.3f, \"replan_s\": %.3f,\n"
+      " \"drain_sum_s\": %.3f, \"drain_max_s\": %.3f, \"wait_s\": %.3f,\n"
       " \"reporters\": %u, \"accepted\": %s}\n",
       nodes, shards, seed, fp.topology, fp.schedulers, fp.channel, fp.macs,
       fp.metrics, fp.plan, fp.objects, fp.total(),
@@ -130,6 +135,9 @@ int main(int argc, char** argv) {
       total_events == 0
           ? 0.0
           : static_cast<double>(parallel_events) / static_cast<double>(total_events),
-      outcome.reporters, outcome.accepted() ? "true" : "false");
+      static_cast<unsigned long long>(engine.rounds),
+      static_cast<unsigned long long>(engine.gate_rounds), engine.wall_s,
+      engine.gate_s, engine.replan_s, engine.drain_sum_s, engine.drain_max_s,
+      engine.wait_s(), outcome.reporters, outcome.accepted() ? "true" : "false");
   return 0;
 }

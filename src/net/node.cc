@@ -6,20 +6,16 @@ namespace icpda::net {
 
 sim::SimTime Node::now() const { return network_.scheduler_for(id_).now(); }
 
-sim::EventId Node::schedule(sim::SimTime delay, sim::EventFn fn) {
-  // Liveness gate at fire time, not at schedule time: a node that
-  // crashes loses its pending application timers (its program state is
-  // gone), and a node that was down when the timer was set may be back
-  // up when it fires. Timers run on the node's home-shard scheduler,
-  // owner-tagged, and are never border events: application handlers
-  // only touch the node's own state and send through its own MAC. A
-  // timer that outlives its App (replaced by attach_app) is dropped.
-  return network_.scheduler_for(id_).after(
-      delay,
-      [this, gen = app_gen_, fn = std::move(fn)]() mutable {
-        if (alive_ && gen == app_gen_) fn();
-      },
-      id_);
+sim::EventId Node::schedule_event(sim::SimTime delay, sim::EventFn fn) {
+  // `fn` is schedule()'s gate: liveness is checked at fire time, not at
+  // schedule time — a node that crashes loses its pending application
+  // timers (its program state is gone), and a node that was down when
+  // the timer was set may be back up when it fires — and a timer that
+  // outlives its App (replaced by attach_app) is dropped. Timers run on
+  // the node's home-shard scheduler, owner-tagged, and are never border
+  // events: application handlers only touch the node's own state and
+  // send through its own MAC.
+  return network_.scheduler_for(id_).after(delay, std::move(fn), id_);
 }
 
 void Node::cancel(sim::EventId id) { network_.scheduler_for(id_).cancel(id); }

@@ -78,7 +78,19 @@ class Node {
 
   // Radio / timer facade (implemented in node.cc against Network).
   [[nodiscard]] sim::SimTime now() const;
-  sim::EventId schedule(sim::SimTime delay, sim::EventFn fn);
+  /// Application timer: `fn` fires after `delay` on the node's
+  /// home-shard scheduler, if the node is alive then and its App has
+  /// not been replaced since (attach_app). The gate wraps `fn` itself,
+  /// not an EventFn holding it, so a callable of up to 32 bytes (e.g.
+  /// `[this, &node]`, or `&node` plus a moved-in Bytes payload) stays
+  /// inside EventFn's inline buffer and the timer allocates nothing.
+  template <typename F>
+  sim::EventId schedule(sim::SimTime delay, F&& fn) {
+    return schedule_event(
+        delay, [this, gen = app_gen_, fn = std::forward<F>(fn)]() mutable {
+          if (alive_ && gen == app_gen_) fn();
+        });
+  }
   void cancel(sim::EventId id);
   void send(NodeId dst, FrameType type, Bytes payload);
   void broadcast(FrameType type, Bytes payload);
@@ -112,6 +124,8 @@ class Node {
   }
 
  private:
+  sim::EventId schedule_event(sim::SimTime delay, sim::EventFn fn);
+
   NodeId id_;
   Network& network_;
   sim::Rng rng_;

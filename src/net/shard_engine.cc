@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <exception>
 #include <future>
@@ -79,8 +80,26 @@ void ShardEngine::run_gate(sim::SimTime bound) {
   }
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
+
+}  // namespace
+
+sim::SimTime ShardEngine::next_time() const {
+  sim::SimTime next = sim::SimTime::infinity();
+  for (const sim::Scheduler* s : scheds_) {
+    if (s->has_next()) next = std::min(next, s->next_time());
+  }
+  return next;
+}
+
 sim::SimTime ShardEngine::run(sim::SimTime horizon, bool serialize_all) {
-  const std::size_t shards = scheds_.size();
+  const Clock::time_point t_start = Clock::now();
   // Events at exactly the horizon still fire (run_until semantics):
   // bound is the smallest representable time after it.
   const sim::SimTime bound{
@@ -90,28 +109,61 @@ sim::SimTime ShardEngine::run(sim::SimTime horizon, bool serialize_all) {
           : std::numeric_limits<double>::infinity()};
 
   stats_ = Stats{};
+  if (serialize_all) {
+    // No parallel work exists: the whole horizon is one canonical gate,
+    // run as a single pool task with no barrier. Not on the caller: a
+    // campaign or benchmark thread runs epoch after epoch, and there
+    // the benchmark's attack epochs ran ~15% slower than on a
+    // Network's own (fresh) pool thread.
+    if (next_time() < bound) {
+      ++stats_.gate_rounds;
+      pool_.submit([this, bound] { run_gate(bound); }).get();
+    }
+    stats_.gate_s = seconds_since(t_start, Clock::now());
+  } else {
+    run_rounds(bound);
+  }
+
+  // Leave every shard clock at a common end time: the horizon when
+  // finite, else the latest event executed anywhere.
+  sim::SimTime end = horizon.is_finite() ? horizon : sim::SimTime::zero();
+  for (sim::Scheduler* s : scheds_) end = std::max(end, s->now());
+  for (sim::Scheduler* s : scheds_) s->advance_to(end);
+  stats_.wall_s = seconds_since(t_start, Clock::now());
+  return end;
+}
+
+void ShardEngine::run_rounds(sim::SimTime bound) {
+  const std::size_t shards = scheds_.size();
   struct Plan {
     bool done = false;
     sim::SimTime drain_bound = sim::SimTime::zero();
   };
   Plan plan;
   sim::ReductionBarrier barrier(shards);
-  std::vector<std::uint64_t> drained(shards, 0);
-  std::vector<std::uint64_t> violations(shards, 0);
+  // Per-worker totals, each written once when its worker exits (a
+  // per-round write to adjacent slots would share cache lines).
+  struct WorkerTotals {
+    std::uint64_t drained = 0;
+    std::uint64_t violations = 0;
+    double drain_s = 0;
+  };
+  std::vector<WorkerTotals> totals(shards);
   std::atomic<bool> failed{false};
   std::mutex error_mutex;
   std::exception_ptr error;
 
-  // Runs serially under the barrier (the other workers are parked):
-  // play every pending border INSTANT through the gate, then plan the
-  // next parallel drain segment. Unlike the PR-9 window machinery —
-  // which, once a window contained any border event, serialized the
-  // window's whole tail — the gate here executes only one clock
-  // instant at a time (every event AT the earliest border time, in
-  // canonical cross-shard order), and control returns to the parallel
-  // drains the moment a border-free prefix reappears. Interior events
-  // between two border instants therefore drain concurrently, which
-  // is where the parallel fraction comes from (DESIGN.md §5k).
+  // The barrier's serial section: the last worker to arrive runs it
+  // alone while the others wait for the release. It plays every
+  // pending border INSTANT through the gate, then plans the next
+  // parallel drain segment. Unlike whole-window gating — which, once
+  // a window contained any border event, serialized the window's whole
+  // tail — the gate here executes only one clock instant at a
+  // time (every event AT the earliest border time, in canonical
+  // cross-shard order), and control returns to the parallel drains the
+  // moment a border-free prefix reappears. Interior events between two
+  // border instants therefore drain concurrently, which is where the
+  // parallel fraction comes from (DESIGN.md §5k).
   //
   // Gate code is arbitrary protocol code; an exception here must not
   // strand the other workers in the barrier, so it is trapped exactly
@@ -121,20 +173,14 @@ sim::SimTime ShardEngine::run(sim::SimTime horizon, bool serialize_all) {
       plan.done = true;
       return;
     }
+    const Clock::time_point t0 = Clock::now();
+    double gated_s = 0;
     try {
       for (;;) {
-        sim::SimTime next = sim::SimTime::infinity();
-        for (sim::Scheduler* s : scheds_) {
-          if (s->has_next()) next = std::min(next, s->next_time());
-        }
+        const sim::SimTime next = next_time();
         if (!(next < bound)) {
           plan.done = true;
-          return;
-        }
-        if (serialize_all) {
-          ++stats_.gate_rounds;
-          run_gate(bound);
-          continue;  // drains everything; next pass observes done
+          break;
         }
         sim::SimTime gate_at = sim::SimTime::infinity();
         sim::EventKey bk;
@@ -149,13 +195,15 @@ sim::SimTime ShardEngine::run(sim::SimTime horizon, bool serialize_all) {
           // consecutive border instants gate back-to-back without
           // releasing the barrier.
           ++stats_.gate_rounds;
+          const Clock::time_point g0 = Clock::now();
           run_gate(sim::SimTime{std::nextafter(
               gate_at.seconds(), std::numeric_limits<double>::infinity())});
+          gated_s += seconds_since(g0, Clock::now());
           continue;
         }
         ++stats_.rounds;
         plan.drain_bound = std::min({gate_at, next + lookahead_, bound});
-        return;
+        break;
       }
     } catch (...) {
       const std::scoped_lock lock(error_mutex);
@@ -163,27 +211,33 @@ sim::SimTime ShardEngine::run(sim::SimTime horizon, bool serialize_all) {
       failed.store(true, std::memory_order_relaxed);
       plan.done = true;
     }
+    stats_.gate_s += gated_s;
+    stats_.replan_s += seconds_since(t0, Clock::now()) - gated_s;
   };
 
   auto worker = [&](std::size_t s) {
+    WorkerTotals mine;
     for (;;) {
       barrier.arrive_and_wait(replan);
-      if (plan.done) return;
+      if (plan.done) break;
+      const Clock::time_point d0 = Clock::now();
       try {
-        drained[s] += scheds_[s]->run_before(plan.drain_bound);
+        mine.drained += scheds_[s]->run_before(plan.drain_bound);
         // Lookahead-safety check (invariant 3): nothing this drain ran
         // may have left a border event pending below the drain bound —
         // the gate would execute it late, out of canonical order.
         sim::EventKey bk;
         if (scheds_[s]->next_border(bk) && bk.at < plan.drain_bound) {
-          ++violations[s];
+          ++mine.violations;
         }
       } catch (...) {
         const std::scoped_lock lock(error_mutex);
         if (!error) error = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
       }
+      mine.drain_s += seconds_since(d0, Clock::now());
     }
+    totals[s] = mine;
   };
 
   std::vector<std::future<void>> futures;
@@ -194,17 +248,12 @@ sim::SimTime ShardEngine::run(sim::SimTime horizon, bool serialize_all) {
   for (auto& f : futures) f.get();
   if (error) std::rethrow_exception(error);
 
-  for (std::size_t s = 0; s < shards; ++s) {
-    stats_.parallel_events += drained[s];
-    stats_.lookahead_violations += violations[s];
+  for (const WorkerTotals& t : totals) {
+    stats_.parallel_events += t.drained;
+    stats_.lookahead_violations += t.violations;
+    stats_.drain_sum_s += t.drain_s;
+    stats_.drain_max_s = std::max(stats_.drain_max_s, t.drain_s);
   }
-
-  // Leave every shard clock at a common end time: the horizon when
-  // finite, else the latest event executed anywhere.
-  sim::SimTime end = horizon.is_finite() ? horizon : sim::SimTime::zero();
-  for (sim::Scheduler* s : scheds_) end = std::max(end, s->now());
-  for (sim::Scheduler* s : scheds_) s->advance_to(end);
-  return end;
 }
 
 }  // namespace icpda::net

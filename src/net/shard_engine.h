@@ -19,8 +19,10 @@
 //     is forced into the gate by border-tagging the delivery that
 //     solicits it (Channel::transmit).
 //
-// Round structure: one ReductionBarrier per drain round. The last
-// worker to arrive (serially, under the barrier) alternates two moves
+// Round structure: one ReductionBarrier crossing per drain round. The
+// last worker to arrive runs the serial section alone, while the
+// others wait in the barrier (spinning briefly, then yielding, then
+// parked — sim/barrier.h), and alternates two moves
 // until a parallel drain is possible: while the globally-earliest
 // pending event is (or ties with) a border event, it gates that ONE
 // clock instant — every event AT the earliest border time, merged
@@ -40,7 +42,8 @@
 // serialize_all runs every event through the gate (used when arbitrary
 // shared state is attached: adversary co-ordination, channel taps,
 // scheduler-span tracing). Still the same canonical order — just zero
-// parallelism.
+// parallelism, so the whole run is one gate on one pool worker and the
+// barrier is never used.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +69,23 @@ class ShardEngine {
     /// the substrate's lookahead accounting is broken; counted (and
     /// asserted on by tests) rather than assumed.
     std::uint64_t lookahead_violations = 0;
+
+    /// Wall-clock ledger of the last run, in seconds (steady_clock;
+    /// two reads per round per worker, plus two per serial section and
+    /// per gated instant). The serial section splits into `gate_s`
+    /// (gated instants) and `replan_s` (planning the next drain).
+    /// `drain_max_s` is the slowest worker's total drain time and
+    /// `drain_sum_s` the sum over workers; wait_s() is what is left of
+    /// `wall_s`: barrier hand-offs plus per-round imbalance (workers
+    /// idle behind the slowest drain of each round).
+    double wall_s = 0;
+    double gate_s = 0;
+    double replan_s = 0;
+    double drain_sum_s = 0;
+    double drain_max_s = 0;
+    [[nodiscard]] double wait_s() const {
+      return wall_s - gate_s - replan_s - drain_max_s;
+    }
   };
 
   /// `scheds` are borrowed (the Network owns them); `pool` must have at
@@ -85,8 +105,16 @@ class ShardEngine {
  private:
   /// Execute every pending event with fire time < bound, across all
   /// shards, in ascending canonical key order (k-way merge by repeated
-  /// peek). Runs single-threaded under the barrier.
+  /// peek). Runs on one thread while no shard drains: inside the
+  /// barrier's serial section, or as one pool task for serialize_all.
   void run_gate(sim::SimTime bound);
+
+  /// The parallel round loop: drains on the pool, gates and planning
+  /// in the barrier's serial section.
+  void run_rounds(sim::SimTime bound);
+
+  /// Earliest pending event time over all shards (infinity if none).
+  [[nodiscard]] sim::SimTime next_time() const;
 
   std::vector<sim::Scheduler*> scheds_;
   sim::SimTime lookahead_;

@@ -24,6 +24,8 @@
 #include "crypto/cipher.h"
 #include "crypto/keyring.h"
 #include "crypto/prf.h"
+#include "net/network.h"
+#include "net/node.h"
 #include "sim/metrics.h"
 #include "sim/rng.h"
 
@@ -170,6 +172,35 @@ TEST(AllocRegressionTest, WarmRerosterDoesNotAllocate) {
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocs, 0u) << "same-size re-roster should only assign() into arenas";
   EXPECT_EQ(ctx.shares_received(), 0u);
+}
+
+// Application timers are the protocols' most frequent scheduler use.
+// Node::schedule wraps the caller's callable in its liveness/App gate;
+// a capture of up to 32 bytes must keep the gated closure inside
+// EventFn's inline buffer, so arming and firing a timer never touches
+// the heap once the scheduler's slot slab is warm.
+
+TEST(AllocRegressionTest, AppTimerDoesNotAllocate) {
+  net::Network network(net::Topology{{{0, 0}, {40, 0}}, 50.0}, net::NetworkConfig{});
+  net::Node& node = network.node(1);
+  std::uint64_t fired = 0;
+  constexpr int kTimers = 256;
+  auto arm_and_fire = [&] {
+    for (int i = 0; i < kTimers; ++i) {
+      // 32 bytes of capture: two references and two words.
+      const std::uint64_t a = static_cast<std::uint64_t>(i);
+      const std::uint64_t b = a * 3;
+      node.schedule(sim::micros(i + 1), [&fired, &node, a, b] {
+        fired += node.id() + a + b - 4 * a;
+      });
+    }
+    network.scheduler().run();
+  };
+  arm_and_fire();  // sizes the scheduler's slot slab
+
+  const std::uint64_t allocs = allocations_during(arm_and_fire);
+  EXPECT_EQ(allocs, 0u) << "Node::schedule boxed its timer closure on the heap";
+  EXPECT_EQ(fired, 2u * kTimers);  // every timer ran, both passes
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 
 #include "net/geometry.h"
+#include "net/network.h"
 #include "net/topology.h"
 #include "net/wire.h"
 #include "sim/rng.h"
@@ -179,6 +182,54 @@ TEST(WireTest, SpecialFloats) {
   WireReader r(buf);
   EXPECT_TRUE(std::isinf(r.f64()));
   EXPECT_EQ(r.f64(), 0.0);
+}
+
+// ---- Network --------------------------------------------------------
+
+NetworkConfig sharded_config(std::size_t nodes, std::size_t shards) {
+  NetworkConfig cfg;
+  cfg.node_count = nodes;
+  cfg.shards = shards;
+  return cfg;
+}
+
+TEST(NetworkTest, FootprintIsTheSumOfItsParts) {
+  const Network sharded(sharded_config(120, 2));
+  const Network::Footprint f = sharded.footprint();
+  // Event slabs, MAC queues and registries grow on first use; what a
+  // fresh network holds is its graph, channel state and partition.
+  EXPECT_GT(f.topology, 0u);
+  EXPECT_GT(f.channel, 0u);
+  EXPECT_GT(f.plan, 0u);  // node -> shard and border maps
+  EXPECT_GT(f.objects, 120 * (sizeof(Mac) + sizeof(Node)));
+  EXPECT_EQ(f.total(), f.topology + f.schedulers + f.channel + f.macs + f.metrics +
+                           f.plan + f.objects);
+
+  const Network single(sharded_config(120, 1));
+  EXPECT_EQ(single.footprint().plan, 0u);  // no partition when unsharded
+}
+
+TEST(NetworkTest, AnnouncesEachPartitionOnceWhenAsked) {
+  // A node count no other test uses: the announcement is once per
+  // (nodes, shards) per process.
+  constexpr std::size_t kNodes = 137;
+  testing::internal::CaptureStderr();
+  { const Network quiet(sharded_config(kNodes, 2)); }
+  ::setenv("ICPDA_ANNOUNCE_PLAN", "1", 1);
+  { const Network first(sharded_config(kNodes, 2)); }
+  { const Network again(sharded_config(kNodes, 2)); }
+  { const Network other(sharded_config(kNodes, 3)); }
+  ::unsetenv("ICPDA_ANNOUNCE_PLAN");
+  const std::string err = testing::internal::GetCapturedStderr();
+
+  std::size_t lines = 0;
+  for (std::size_t at = err.find("[shard-plan]"); at != std::string::npos;
+       at = err.find("[shard-plan]", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 2u) << err;
+  EXPECT_NE(err.find("[shard-plan] n=137 tiles=2 "), std::string::npos) << err;
+  EXPECT_NE(err.find("[shard-plan] n=137 tiles=3 "), std::string::npos) << err;
 }
 
 }  // namespace

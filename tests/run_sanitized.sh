@@ -6,7 +6,8 @@
 #   2. ubsan — UBSan alone: no shadow-memory slowdown, so the
 #      allocation-heavy randomized suites (property/fuzz, label `slow`)
 #      join the run and hostile-input UB gets real coverage.
-#   3. tsan  — ThreadSanitizer over the sharded-engine suites: the
+#   3. tsan  — ThreadSanitizer over the sharded-engine suites and the
+#      round barrier (sim/barrier.h) they cross every drain round: the
 #      conservative-PDES worker drains (net/shard_engine.cc) run
 #      concurrent Scheduler::run_before on a shared Channel, and the
 #      determinism tests alone cannot see a torn read that happens to
@@ -42,7 +43,7 @@ esac
 
 case " $lanes " in *" tsan "*)
   echo "== tsan (sharded-engine concurrency) =="
-  tsan_filter="ShardDeterminismTest|ShardLookaheadTest|SchedulerTest"
+  tsan_filter="ShardDeterminismTest|ShardLookaheadTest|SchedulerTest|BarrierTest|ShardEngineTest"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   # The lookahead sweep's default 5000 cases is sized for native
